@@ -158,6 +158,9 @@ type Store struct {
 	// through the opEpoch record type.
 	epoch atomic.Uint64
 
+	// gen counts applied mutation batches (see Gen).
+	gen atomic.Uint64
+
 	closed atomic.Bool
 
 	path     string // empty for a purely in-memory store
@@ -507,7 +510,8 @@ func opsSize(ops []Op) int {
 	return n
 }
 
-// applyOps applies committed ops to the in-memory map. Caller holds s.mu.
+// applyOps applies committed ops to the in-memory map and advances the
+// mutation generation. Caller holds s.mu.
 func (s *Store) applyOps(ops []Op) {
 	for i := range ops {
 		op := &ops[i]
@@ -525,6 +529,7 @@ func (s *Store) applyOps(ops []Op) {
 		copy(cp, op.Value)
 		s.data[op.Key] = cp
 	}
+	s.gen.Add(1)
 }
 
 // commit enqueues w and blocks until its ops are durably committed (or
@@ -714,6 +719,15 @@ func (s *Store) Apply(ops []Op) error {
 	w.ops = ops
 	return s.commit(w)
 }
+
+// Gen returns the store's mutation generation: a counter that advances
+// once per batch applied by a local commit or a replicated page. A reader
+// that derives state from the store can tag it with the Gen read before
+// the derivation and trust it while Gen is unchanged. The counter moves
+// under the same lock that publishes the batch, so a Gen read after a
+// write returns reflects that write. It starts at zero on Open; it is not
+// persisted.
+func (s *Store) Gen() uint64 { return s.gen.Load() }
 
 // Epoch returns the replication leadership epoch last committed to (or
 // replayed from, or shipped into) this store's log. Zero means the log has

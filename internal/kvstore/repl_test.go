@@ -229,3 +229,61 @@ func TestCommitNotifyWakesFollower(t *testing.T) {
 		t.Fatal("no notification after commit")
 	}
 }
+
+// TestGenAdvancesPerAppliedBatch: every committed batch — Put, Delete,
+// Apply, epoch stamp — and every shipped page moves Gen, on durable and
+// in-memory stores alike; reads and no-op deletes do not.
+func TestGenAdvancesPerAppliedBatch(t *testing.T) {
+	dir := t.TempDir()
+	leader, err := Open(filepath.Join(dir, "leader.log"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	mem := OpenMemory()
+	for _, s := range []*Store{leader, mem} {
+		step := func(what string, fn func() error, moves bool) {
+			t.Helper()
+			before := s.Gen()
+			if err := fn(); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if moved := s.Gen() != before; moved != moves {
+				t.Fatalf("%s: Gen moved = %v, want %v", what, moved, moves)
+			}
+		}
+		step("put", func() error { return s.Put("model/a", []byte("1")) }, true)
+		step("apply", func() error {
+			return s.Apply([]Op{{Key: "model/b", Value: []byte("2")}, {Key: "card/b", Value: []byte("3")}})
+		}, true)
+		step("delete", func() error { return s.Delete("model/a") }, true)
+		step("delete absent", func() error { return s.Delete("model/a") }, false)
+		step("epoch", func() error { return s.BumpEpoch(s.Epoch() + 1) }, true)
+		step("get", func() error { _, err := s.Get("model/b"); return err }, false)
+		step("scan", func() error { return s.Scan("model/", func(string, []byte) bool { return true }) }, false)
+	}
+
+	page, err := leader.ReadLogRange(0, 1<<20)
+	if err != nil || len(page) == 0 {
+		t.Fatalf("ReadLogRange: %d bytes, %v", len(page), err)
+	}
+	for _, follower := range []*Store{OpenMemory(), mustOpen(t, filepath.Join(dir, "follower.log"))} {
+		before := follower.Gen()
+		if err := follower.ApplyPage(page); err != nil {
+			t.Fatal(err)
+		}
+		if follower.Gen() == before {
+			t.Fatal("ApplyPage did not move Gen")
+		}
+		follower.Close()
+	}
+}
+
+func mustOpen(t *testing.T, path string) *Store {
+	t.Helper()
+	s, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}

@@ -236,6 +236,10 @@ type Lake struct {
 	qcache     *queryCache            // nil when disabled
 	vecNS      string                 // namespace stamped into persisted vec records
 
+	// catalogSnap is the last decoded MLQL catalog, valid while the
+	// metadata store's generation equals its tag (see snapshotCatalog).
+	catalogSnap atomic.Pointer[catalogSnapshot]
+
 	mu         sync.RWMutex
 	closed     bool
 	modelCache map[string]*model.Model // live models (incl. closed-weight ones)
@@ -1385,11 +1389,10 @@ func (l *Lake) contentSearcher(space string) (*search.ContentSearcher, error) {
 }
 
 // searchContent is the shared model-as-query read path: embed the query
-// (embedding cache), consult the query-result cache for the raw top-(k+1)
-// hits, fall through to the ANN index on a miss, then drop the query model's
-// own entry. Cached and uncached answers are identical by construction — the
-// cache stores the raw index response, and the same ExcludeSelf
-// post-processing runs either way.
+// (embedding cache), take the raw top-(k+1) hits from the cached vector
+// scan, then drop the query model's own entry. Cached and uncached answers
+// are identical by construction — the cache stores the raw index response,
+// and the same ExcludeSelf post-processing runs either way.
 func (l *Lake) searchContent(ctx context.Context, space string, h *model.Handle, k int) ([]search.Hit, error) {
 	defer mSearchDurs("model").Since(time.Now())
 	if err := ctx.Err(); err != nil {
@@ -1403,19 +1406,9 @@ func (l *Lake) searchContent(ctx context.Context, space string, h *model.Handle,
 	if err != nil {
 		return nil, err
 	}
-	// The cache key includes the searcher's space name; normalize "" so the
-	// default space shares entries with its explicit spelling.
-	cacheSpace := space
-	if cacheSpace == "" {
-		cacheSpace = "behavior"
-	}
-	raw, ok := l.qcache.get(cacheSpace, v, k+1)
-	if !ok {
-		raw, err = cs.SearchByVectorContext(ctx, v, k+1)
-		if err != nil {
-			return nil, err
-		}
-		l.qcache.put(cacheSpace, v, k+1, raw)
+	raw, err := l.searchVector(ctx, cs, space, v, k+1)
+	if err != nil {
+		return nil, err
 	}
 	return search.ExcludeSelf(raw, h.ID(), k), nil
 }
@@ -1728,7 +1721,7 @@ func (l *Lake) Query(q string) (*mlql.Result, error) {
 // request abandons the query promptly.
 func (l *Lake) QueryContext(ctx context.Context, q string) (*mlql.Result, error) {
 	defer mQueryDur.Since(time.Now())
-	return mlql.RunContext(ctx, q, (*catalog)(l))
+	return mlql.RunContext(ctx, q, &catalog{l: l, ctx: ctx})
 }
 
 // Explain parses a query and renders its evaluation plan without running it.

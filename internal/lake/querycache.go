@@ -40,8 +40,11 @@ type queryCacheEntry struct {
 	hits []search.Hit
 }
 
-// defaultQueryCacheCap bounds the cache footprint: 1024 entries × (vector +
-// k hits) is a few MiB at typical embedding dims, enough to cover a hot
+// defaultQueryCacheCap bounds the cache footprint at 1024 entries × (vector
+// + k hits). Entries stay O(k) because answers whose k exceeds the index
+// size — the whole-index rankings of MLQL RANK BY SIMILARITY — are never
+// stored (see searchVector), so 1024 entries of bounded related-model
+// queries are a few MiB at typical embedding dims: enough to cover a hot
 // working set without mattering to the process RSS.
 const defaultQueryCacheCap = 1024
 

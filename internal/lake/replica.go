@@ -164,8 +164,7 @@ func (l *Lake) EmbedModelQuery(id, space string) (tensor.Vector, error) {
 // SearchByVectorSpace is the raw per-shard scan behind cluster
 // scatter-gather: the local top-k by vector in the named space, with no
 // self-exclusion (the router excludes the query model after merging). It
-// shares the query-result cache with the single-node read path — same
-// space-normalized key, same raw hits.
+// shares the query-result cache with the single-node read path.
 func (l *Lake) SearchByVectorSpace(ctx context.Context, space string, v tensor.Vector, k int) ([]search.Hit, error) {
 	defer mSearchDurs("vector").Since(time.Now())
 	if err := ctx.Err(); err != nil {
@@ -175,18 +174,32 @@ func (l *Lake) SearchByVectorSpace(ctx context.Context, space string, v tensor.V
 	if err != nil {
 		return nil, err
 	}
-	cacheSpace := space
-	if cacheSpace == "" {
-		cacheSpace = "behavior"
+	return l.searchVector(ctx, cs, space, v, k)
+}
+
+// searchVector is the one cached vector scan under both model-as-query
+// search and SearchByVectorSpace: the raw top-k of cs by v, served from
+// and stored to the query-result cache. A k above the index size asks for
+// the whole index — MLQL's whole-lake rankings do, once per query — and
+// such answers neither consult nor fill the cache, so an entry never holds
+// more than k hits of a bounded related-model query.
+func (l *Lake) searchVector(ctx context.Context, cs *search.ContentSearcher, space string, v tensor.Vector, k int) ([]search.Hit, error) {
+	if k > cs.Len() {
+		return cs.SearchByVectorContext(ctx, v, k)
 	}
-	raw, ok := l.qcache.get(cacheSpace, v, k)
-	if !ok {
-		raw, err = cs.SearchByVectorContext(ctx, v, k)
-		if err != nil {
-			return nil, err
-		}
-		l.qcache.put(cacheSpace, v, k, raw)
+	// The cache key includes the searcher's space name; normalize "" so the
+	// default space shares entries with its explicit spelling.
+	if space == "" {
+		space = "behavior"
 	}
+	if raw, ok := l.qcache.get(space, v, k); ok {
+		return raw, nil
+	}
+	raw, err := cs.SearchByVectorContext(ctx, v, k)
+	if err != nil {
+		return nil, err
+	}
+	l.qcache.put(space, v, k, raw)
 	return raw, nil
 }
 
@@ -210,21 +223,21 @@ func (l *Lake) SearchKeywordWithStats(query string, g search.KeywordStats, k int
 // models the benchmark cannot run on — the per-shard half of a cluster
 // OUTPERFORMS query, with the baseline computed once on the owner shard.
 func (l *Lake) ScoresAbove(bench string, baseline float64, excludeID string) (map[string]bool, error) {
-	recs, err := l.Records()
+	snap, err := l.snapshotCatalog()
 	if err != nil {
 		return nil, err
 	}
 	out := map[string]bool{}
-	for _, rec := range recs {
-		if rec.ID == excludeID {
+	for _, row := range snap.rows {
+		if row.ID == excludeID {
 			continue
 		}
-		s, err := l.Score(rec.ID, bench)
+		s, err := l.Score(row.ID, bench)
 		if err != nil {
 			continue
 		}
 		if s > baseline {
-			out[rec.ID] = true
+			out[row.ID] = true
 		}
 	}
 	return out, nil
@@ -232,8 +245,9 @@ func (l *Lake) ScoresAbove(bench string, baseline float64, excludeID string) (ma
 
 // Catalog exposes the lake's MLQL catalog adapter, so a cluster router can
 // delegate per-shard catalog primitives (candidate rows, lineage closure,
-// benchmark ranking) to each shard and merge.
-func (l *Lake) Catalog() mlql.Catalog { return (*catalog)(l) }
+// benchmark ranking) to each shard and merge. Its rankers search under
+// context.Background; QueryContext ranks under the query's own context.
+func (l *Lake) Catalog() mlql.Catalog { return &catalog{l: l, ctx: context.Background()} }
 
 // ProvenanceWhy explains an entity from the provenance journal — the
 // routable form of Provenance().Why for servers that may front a cluster

@@ -24,7 +24,9 @@ type Hit struct {
 // Catalog is the executor's window onto the lake. The lake facade implements
 // it; tests use fakes.
 type Catalog interface {
-	// Candidates returns every queryable model.
+	// Candidates returns every queryable model. The rows, and their Fields
+	// maps, may be shared with other queries and must be treated as
+	// read-only.
 	Candidates() ([]Row, error)
 	// TrainedOn returns the IDs of models trained on the dataset (or any
 	// version of it when includeVersions is set), as established by the
@@ -194,7 +196,7 @@ func RunContext(ctx context.Context, query string, c Catalog) (*Result, error) {
 func Explain(q *Query) string {
 	var sb strings.Builder
 	sb.WriteString("plan:\n")
-	sb.WriteString("  scan: registry records (catalog metadata + cards)\n")
+	sb.WriteString("  scan: registry records via the catalog snapshot (metadata + cards, decoded once and rebuilt after writes)\n")
 	for _, p := range q.Preds {
 		switch p.Kind {
 		case PredField:
